@@ -156,12 +156,14 @@ let hashed_bytes () = !hashed_bytes_counter
 let seg_digest seg =
   match seg with
   | Zero n -> Int64.mul (geom_sum n) (code '\000')
-  | _ ->
-      let n = seg_len seg in
-      hashed_bytes_counter := !hashed_bytes_counter + n;
+  | Pattern { seed; off; len } ->
+      hashed_bytes_counter := !hashed_bytes_counter + len;
+      Rng.pattern_hash ~base ~seed ~off ~len
+  | Bytes { data; off; len } ->
+      hashed_bytes_counter := !hashed_bytes_counter + len;
       let h = ref 0L in
-      for i = 0 to n - 1 do
-        h := Int64.add (Int64.mul !h base) (code (seg_byte_at seg i))
+      for i = off to off + len - 1 do
+        h := Int64.add (Int64.mul !h base) (code (Bytes.get data i))
       done;
       !h
 
@@ -221,10 +223,7 @@ and to_string t =
       (match seg with
       | Zero n -> Bytes.fill buf !pos n '\000'
       | Bytes { data; off; len } -> Bytes.blit data off buf !pos len
-      | Pattern _ as seg ->
-          for i = 0 to seg_len seg - 1 do
-            Bytes.set buf (!pos + i) (seg_byte_at seg i)
-          done);
+      | Pattern { seed; off; len } -> Rng.pattern_blit ~seed ~off buf !pos len);
       pos := !pos + seg_len seg)
     t.segs;
   Bytes.unsafe_to_string buf

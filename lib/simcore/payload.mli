@@ -49,9 +49,15 @@ val to_string : t -> string
 
 val digest : t -> int64
 (** Content digest: equal payloads have equal digests (collisions aside —
-    the digest is a 64-bit rolling hash). [Zero] runs digest in O(log n);
-    [Pattern] slices digest in O(length) once and are memoized. The whole
-    payload's digest is additionally memoized per value, so repeated
+    the digest is a 64-bit rolling hash, [h := h * b + (byte + 1)]).
+    [Zero] runs digest in O(log n). [Bytes] slices fold byte by byte.
+    [Pattern] slices go through {!Rng.pattern_hash}, which produces the
+    same value a word at a time: one stream word per 8 bytes and one
+    serial multiply-add per word, memoized per [(seed, off, len)]. That
+    kernel must stay in {!Rng}, the unit that defines the stream's mixing
+    function: dune builds libraries with [-opaque], so a per-word call
+    into another module is never inlined and halves the throughput. The
+    whole payload's digest is additionally memoized per value, so repeated
     digests of the same payload (verified reads, commit-path dedup
     lookups) are O(1) after the first. *)
 

@@ -54,4 +54,19 @@ val byte_at : seed:int64 -> int -> char
 (** [byte_at ~seed i] is the [i]-th byte of the infinite deterministic
     pattern stream identified by [seed]. Pure function of [(seed, i)];
     used by {!Payload.Pattern} to represent large random buffers without
-    materializing them. *)
+    materializing them. Each call computes one 64-bit stream word; use
+    {!pattern_blit} or {!pattern_hash} to walk a range. *)
+
+val pattern_blit : seed:int64 -> off:int -> bytes -> int -> int -> unit
+(** [pattern_blit ~seed ~off buf pos len] writes stream bytes
+    [\[off, off+len)] into [buf] at [pos], computing each stream word
+    once. Raises [Invalid_argument] if [off < 0] or the target range is
+    not within [buf]. *)
+
+val pattern_hash : base:int64 -> seed:int64 -> off:int -> len:int -> int64
+(** [pattern_hash ~base ~seed ~off ~len] folds stream bytes
+    [\[off, off+len)] into [h := h * base + (byte + 1)] (mod 2^64) from
+    [h = 0] — exactly the byte-by-byte fold, computed a word at a time:
+    one stream word per 8 bytes and one serial multiply-add per word. This
+    is {!Payload.digest}'s [Pattern] kernel; it lives here, next to the
+    stream's mixing function, so that function is inlined into the loop. *)

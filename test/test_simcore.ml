@@ -163,6 +163,86 @@ let prop_payload_digest_agrees_with_equal =
       if a = b then Payload.digest pa = Payload.digest pb && Payload.equal pa pb
       else (not (Payload.equal pa pb)) || a = b)
 
+(* The word-at-a-time [Pattern] digest and [to_string] against byte-wise
+   references built only from [Rng.byte_at] / [Payload.byte_at]. *)
+let reference_fold byte len =
+  let h = ref 0L in
+  for i = 0 to len - 1 do
+    h := Int64.add (Int64.mul !h 0x100000001B3L) (Int64.of_int (Char.code (byte i) + 1))
+  done;
+  !h
+
+(* Lengths below a word, a few words, and up to ~200 KiB; offsets both
+   small (every alignment, slices inside one word) and far into the stream. *)
+let slice_len_gen =
+  QCheck.Gen.(frequency [ (3, int_range 0 16); (3, int_range 0 200); (2, int_range 0 (200 * 1024)) ])
+
+let slice_off_gen = QCheck.Gen.(frequency [ (3, int_range 0 64); (2, int_range 0 (1 lsl 40)) ])
+
+let pattern_slice ~seed ~off ~len = Payload.sub (Payload.pattern ~seed (off + len)) ~pos:off ~len
+
+let print_slice (seed, off, len) = Printf.sprintf "seed=%Ld off=%d len=%d" seed off len
+
+let prop_pattern_digest_matches_bytewise =
+  QCheck.Test.make ~name:"payload: pattern digest = byte-wise fold, hashed_bytes += len"
+    ~count:300
+    (QCheck.make ~print:print_slice QCheck.Gen.(triple ui64 slice_off_gen slice_len_gen))
+    (fun (seed, off, len) ->
+      let expected = reference_fold (fun i -> Rng.byte_at ~seed (off + i)) len in
+      let before = Payload.hashed_bytes () in
+      let fresh = Payload.digest (pattern_slice ~seed ~off ~len) in
+      let mid = Payload.hashed_bytes () in
+      (* A new value with the same (seed, off, len): segment-cache hit. *)
+      let cached = Payload.digest (pattern_slice ~seed ~off ~len) in
+      let after = Payload.hashed_bytes () in
+      fresh = expected && cached = expected && mid - before = len && after - mid = len)
+
+(* A payload mixing Pattern, Zero and Bytes segments via concat, then sliced. *)
+let mixed_payload_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [ ( 3,
+          map
+            (fun (seed, off, len) -> pattern_slice ~seed ~off ~len)
+            (triple ui64 slice_off_gen (int_range 0 (64 * 1024))) );
+        (1, map Payload.zero (int_range 0 4096));
+        (1, map Payload.of_string (string_size (int_range 0 300))) ]
+  in
+  list_size (int_range 1 6) piece >>= fun pieces ->
+  let p = Payload.concat pieces in
+  let n = Payload.length p in
+  int_range 0 n >>= fun pos ->
+  int_range 0 (n - pos) >|= fun len -> Payload.sub p ~pos ~len
+
+let prop_mixed_digest_matches_bytewise =
+  QCheck.Test.make ~name:"payload: mixed-segment digest = byte-wise fold" ~count:100
+    (QCheck.make ~print:(Fmt.to_to_string Payload.pp) mixed_payload_gen)
+    (fun p ->
+      Payload.digest p = reference_fold (Payload.byte_at p) (Payload.length p))
+
+let prop_pattern_to_string_matches_byte_at =
+  QCheck.Test.make ~name:"payload: pattern to_string = byte_at at every index" ~count:300
+    (QCheck.make ~print:print_slice
+       QCheck.Gen.(triple ui64 slice_off_gen (frequency [ (3, int_range 0 64); (1, int_range 0 5000) ])))
+    (fun (seed, off, len) ->
+      let p = pattern_slice ~seed ~off ~len in
+      let s = Payload.to_string p in
+      String.length s = len
+      && List.for_all
+           (fun i -> s.[i] = Payload.byte_at p i)
+           (List.init len Fun.id))
+
+(* Pinned values: the pattern stream and the digest polynomial are part of
+   every golden output, so neither may drift. *)
+let test_payload_pattern_digest_pinned () =
+  List.iter
+    (fun (seed, off, len, want) ->
+      Alcotest.(check int64) (print_slice (seed, off, len)) want
+        (Payload.digest (pattern_slice ~seed ~off ~len)))
+    [ (42L, 0, 1000, 0x34a79ddaeb77983aL); (0x5EEDL, 3, 65536, 0xa51be0c41a6aa69bL);
+      (-7L, 1_000_003, 13, 0xd736af0e16c25feL); (1L, 5, 2, 0x1700000027a8L) ]
+
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
 
@@ -684,8 +764,12 @@ let () =
           Alcotest.test_case "digest respects equality" `Quick test_payload_digest_matches_equal;
           Alcotest.test_case "zero digest closed form" `Quick test_payload_digest_zero_closed_form;
           Alcotest.test_case "to_string guard" `Quick test_payload_to_string_guard;
+          Alcotest.test_case "pattern digest pinned" `Quick test_payload_pattern_digest_pinned;
         ]
-        @ qsuite [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal ] );
+        @ qsuite
+            [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
+              prop_pattern_digest_matches_bytewise; prop_mixed_digest_matches_bytewise;
+              prop_pattern_to_string_matches_byte_at ] );
       ( "event_queue",
         [
           Alcotest.test_case "time order" `Quick test_event_queue_order;
