@@ -31,8 +31,8 @@ let diff_traces ?(context = 3) a b =
   go 0 [] a b
 
 let compare_runs ~name ?(seed = 42) run =
-  let out_a, trace_a = Trace.capture run in
-  let out_b, trace_b = Trace.capture run in
+  let out_a, { Obs.Record.events = trace_a; _ } = Obs.Record.capture run in
+  let out_b, { Obs.Record.events = trace_b; _ } = Obs.Record.capture run in
   {
     name;
     seed;

@@ -2,8 +2,8 @@
 
     The simulator's contract (see {!Simcore.Engine}) is that the same seed
     yields the same event trace, byte for byte. This module enforces it
-    dynamically: run a workload twice under {!Simcore.Trace.capture}, diff
-    the traces and compare the rendered final statistics; the first
+    dynamically: run a workload twice under {!Obs.Record.capture}, diff
+    the two event logs and compare the rendered final statistics; the first
     divergent line is reported with surrounding context. *)
 
 type divergence = {

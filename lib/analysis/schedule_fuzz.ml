@@ -79,7 +79,7 @@ let chaos_script (scale : Experiments.Scale.t) ~fault_seed cluster =
 
 (* The result surface compared across schedules: *outcomes* — did the
    application finish, how often did it restart, was data lost, and the
-   restart-visible application state. Trace timings and *cost* metrics
+   restart-visible application state. Event-log timings and *cost* metrics
    (scrub repairs performed, bytes shipped) are deliberately absent: both
    may legitimately differ when simultaneous events reorder — e.g. the
    commit that arrives second gets the dedup hit, which moves replica
@@ -125,34 +125,40 @@ let outcome_of_exn trace = function
             violations = [];
           })
 
+(* Run [f] under a fresh {!Obs.Record} collector. An exception is part of
+   the outcome, so it is caught inside the capture and the event log up to
+   the raise is kept. *)
+let captured f =
+  let result, run =
+    Obs.Record.capture (fun () -> match f () with v -> Ok v | exception e -> Error e)
+  in
+  (result, run.Obs.Record.events)
+
+let chaos_outcome trace = function
+  | Error e -> outcome_of_exn trace e
+  | Ok c ->
+      let violations =
+        c.Experiments.Durability.audit
+        @ List.map
+            (fun v -> Fmt.str "%a" Invariants.pp_violation v)
+            (Invariants.audit_engine c.Experiments.Durability.engine)
+      in
+      { results = render_chaos c; trace; violations }
+
 let chaos =
   {
     sname = "chaos";
     srun =
       (fun scale ~schedule ~fault_seed ->
         let scale = { scale with Experiments.Scale.schedule } in
-        let result = ref None in
-        let (), trace =
-          Trace.capture (fun () ->
-              match
-                Experiments.Durability.chaos_run scale
-                  ~script:(chaos_script scale ~fault_seed)
-                  ~gang:scale.Experiments.Scale.durability_gang
-                  ~units:scale.Experiments.Scale.durability_units ()
-              with
-              | c -> result := Some (Ok c)
-              | exception e -> result := Some (Error e))
+        let result, trace =
+          captured (fun () ->
+              Experiments.Durability.chaos_run scale
+                ~script:(chaos_script scale ~fault_seed)
+                ~gang:scale.Experiments.Scale.durability_gang
+                ~units:scale.Experiments.Scale.durability_units ())
         in
-        match Option.get !result with
-        | Error e -> outcome_of_exn trace e
-        | Ok c ->
-            let violations =
-              c.Experiments.Durability.audit
-              @ List.map
-                  (fun v -> Fmt.str "%a" Invariants.pp_violation v)
-                  (Invariants.audit_engine c.Experiments.Durability.engine)
-            in
-            { results = render_chaos c; trace; violations })
+        chaos_outcome trace result)
   }
 
 (* The precopy scenario: the chaos harness again, but with the live
@@ -207,28 +213,14 @@ let precopy =
               Blobcr.Approach.Live { rounds = 2; background = true };
           }
         in
-        let result = ref None in
-        let (), trace =
-          Trace.capture (fun () ->
-              match
-                Experiments.Durability.chaos_run scale
-                  ~script:(precopy_script scale ~fault_seed)
-                  ~gang:scale.Experiments.Scale.durability_gang
-                  ~units:scale.Experiments.Scale.durability_units ~policy ()
-              with
-              | c -> result := Some (Ok c)
-              | exception e -> result := Some (Error e))
+        let result, trace =
+          captured (fun () ->
+              Experiments.Durability.chaos_run scale
+                ~script:(precopy_script scale ~fault_seed)
+                ~gang:scale.Experiments.Scale.durability_gang
+                ~units:scale.Experiments.Scale.durability_units ~policy ())
         in
-        match Option.get !result with
-        | Error e -> outcome_of_exn trace e
-        | Ok c ->
-            let violations =
-              c.Experiments.Durability.audit
-              @ List.map
-                  (fun v -> Fmt.str "%a" Invariants.pp_violation v)
-                  (Invariants.audit_engine c.Experiments.Durability.engine)
-            in
-            { results = render_chaos c; trace; violations })
+        chaos_outcome trace result)
   }
 
 (* The disaster-recovery scenario: a supervised gang on a two-site
@@ -266,18 +258,13 @@ let dr =
         let config =
           { Blobseer.Replicator.default_config with window = 1 + Rng.int rng 4 }
         in
-        let result = ref None in
-        let (), trace =
-          Trace.capture (fun () ->
-              match
-                Experiments.Dr.dr_run scale ~config ~crash_at ~interval
-                  ~gang:scale.Experiments.Scale.dr_gang
-                  ~units:scale.Experiments.Scale.dr_units ()
-              with
-              | o -> result := Some (Ok o)
-              | exception e -> result := Some (Error e))
+        let result, trace =
+          captured (fun () ->
+              Experiments.Dr.dr_run scale ~config ~crash_at ~interval
+                ~gang:scale.Experiments.Scale.dr_gang
+                ~units:scale.Experiments.Scale.dr_units ())
         in
-        match Option.get !result with
+        match result with
         | Error e -> outcome_of_exn trace e
         | Ok o ->
             let violations =
@@ -334,18 +321,11 @@ let chains =
       (fun scale ~schedule ~fault_seed ->
         let scale = { scale with Experiments.Scale.schedule } in
         let depth = List.fold_left max 2 scale.Experiments.Scale.chains_depths in
-        let result = ref None in
-        let (), trace =
-          Trace.capture (fun () ->
-              match
-                Experiments.Chains.chaos_run scale
-                  ~script:(chains_script scale ~fault_seed)
-                  ~depth ()
-              with
-              | c -> result := Some (Ok c)
-              | exception e -> result := Some (Error e))
+        let result, trace =
+          captured (fun () ->
+              Experiments.Chains.chaos_run scale ~script:(chains_script scale ~fault_seed) ~depth ())
         in
-        match Option.get !result with
+        match result with
         | Error e -> outcome_of_exn trace e
         | Ok c ->
             let violations =
@@ -368,20 +348,14 @@ let experiment exp =
         let scale =
           { scale with Experiments.Scale.schedule; Experiments.Scale.seed = fault_seed }
         in
-        let result = ref None in
-        let (), trace =
-          Trace.capture (fun () ->
-              match
-                exp.Experiments.Registry.run scale ~progress:(fun _ -> ())
-                |> List.map (fun o ->
-                       o.Experiments.Registry.name ^ "\n"
-                       ^ Stats.render o.Experiments.Registry.table)
-                |> String.concat "\n"
-              with
-              | rendered -> result := Some (Ok rendered)
-              | exception e -> result := Some (Error e))
+        let result, trace =
+          captured (fun () ->
+              exp.Experiments.Registry.run scale ~progress:(fun _ -> ())
+              |> List.map (fun o ->
+                     o.Experiments.Registry.name ^ "\n" ^ Stats.render o.Experiments.Registry.table)
+              |> String.concat "\n")
         in
-        match Option.get !result with
+        match result with
         | Error e -> outcome_of_exn trace e
         | Ok rendered -> { results = rendered; trace; violations = [] })
   }

@@ -44,7 +44,7 @@ type outcome = {
   results : string;
       (** the schedule-independent result surface, rendered — byte-compared
           across schedules *)
-  trace : string list;  (** full engine trace of the run *)
+  trace : string list;  (** the run's event log ({!Obs.Record.run} [events]) *)
   violations : string list;  (** invariant-battery violations (empty = clean) *)
 }
 

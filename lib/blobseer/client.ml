@@ -238,13 +238,13 @@ let read_chunk_payload b ~from (desc : Types.chunk_desc) =
         else begin
           t.integrity_failures <- t.integrity_failures + 1;
           Obs.Metrics.incr m_read_failovers;
-          Trace.emit t.engine ~component:"blobseer.client"
+          Obs.Record.event t.engine ~component:"blobseer.client"
             "read failover: checksum mismatch at %s" (Data_provider.name provider);
           None
         end
     | exception (Types.Provider_down _ | Faults.Injected_error _ | Not_found) ->
         Obs.Metrics.incr m_read_failovers;
-        Trace.emit t.engine ~component:"blobseer.client" "read failover: replica at %s failed"
+        Obs.Record.event t.engine ~component:"blobseer.client" "read failover: replica at %s failed"
           (Data_provider.name provider);
         None
   in

@@ -562,7 +562,7 @@ let scan t =
         retired_total := !retired_total + compact_blob t ~blob ~plan)
     (Version_manager.blob_ids vm);
   record t (Pass_finished { at = now t; pass; retired = !retired_total });
-  Trace.emit (engine t) ~component:"compactor" "pass %d: %d retired, %d queued" pass
+  Obs.Record.event (engine t) ~component:"compactor" "pass %d: %d retired, %d queued" pass
     !retired_total (Hashtbl.length t.pending_sweep)
 
 (* Recovery. A pending intent whose every named version is still live

@@ -44,6 +44,3 @@ val aborted : 'a t -> int
 
 val name : 'a t -> string
 (** The name passed at creation. *)
-
-val truncate : 'a t -> unit
-(** Drop resolved entries (checkpoint the log). Pending entries survive. *)

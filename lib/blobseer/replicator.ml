@@ -90,7 +90,7 @@ let m_retries = Obs.Metrics.counter ~component:"repl" ~name:"retries"
 let m_backoff = Obs.Metrics.counter ~component:"repl" ~name:"backoff_s"
 let m_dup_skips = Obs.Metrics.counter ~component:"repl" ~name:"duplicate_skips"
 
-let trace t fmt = Trace.emit t.engine ~component:"replicator" fmt
+let trace t fmt = Obs.Record.event t.engine ~component:"replicator" fmt
 let lag t = Queue.length t.pending_q
 let stats_lag = lag
 

@@ -341,7 +341,7 @@ let scan t =
          repaired = !repaired_count;
          unrepairable = !unrepairable_count;
        });
-  Trace.emit (engine t) ~component:"scrubber"
+  Obs.Record.event (engine t) ~component:"scrubber"
     "pass %d: %d sites (%d merkle-clean), %d repaired, %d unrepairable" pass
     (List.length sites + !clean_leaves)
     !clean_leaves !repaired_count !unrepairable_count

@@ -120,7 +120,7 @@ let retry_transient engine ~label f =
   let rec go n =
     try f ()
     with Faults.Injected_error what when n < 3 ->
-      Trace.emit engine ~component:label "transient fault (%s), retry %d/3" what (n + 1);
+      Obs.Record.event engine ~component:label "transient fault (%s), retry %d/3" what (n + 1);
       Obs.Span.with_ engine ~component:"approach" ~name:"ckpt.backoff" (fun () ->
           Engine.sleep engine (0.02 *. float_of_int (1 lsl n)));
       go (n + 1)
@@ -154,7 +154,7 @@ let live_checkpoint (cluster : Cluster.t) inst mirror ~rounds ~background =
               ignore (Mirror.commit_frozen ~label:"ckpt.precopy.commit" mirror)));
       Obs.Metrics.incr m_precopy_rounds;
       Obs.Metrics.add m_precopy_bytes (float_of_int dirty);
-      Trace.emit engine ~component:label "pre-copy round %d/%d shipped %d B live" (r + 1)
+      Obs.Record.event engine ~component:label "pre-copy round %d/%d shipped %d B live" (r + 1)
         rounds dirty;
       precopy (r + 1) dirty
     end
@@ -177,7 +177,7 @@ let live_checkpoint (cluster : Cluster.t) inst mirror ~rounds ~background =
     | None -> version := Some (Mirror.commit_frozen ~label:"ckpt.background" mirror));
     let v = Option.get !version in
     let s = Mirror.last_commit_stats mirror in
-    Trace.emit engine ~component:label
+    Obs.Record.event engine ~component:label
       "live checkpoint %d (v%d): shipped %d B, dedup'd %d B, clean-suppressed %d B" inst.epoch
       v s.Client.bytes_shipped s.Client.bytes_deduped s.Client.bytes_suppressed;
     Blobcr_snapshot { image = Option.get (Mirror.checkpoint_image mirror); version = v }
@@ -192,7 +192,7 @@ let request_checkpoint ?(mode = Stop_the_world) (cluster : Cluster.t) inst =
         (* CLONE (first time) + COMMIT through the mirroring module. *)
         let version = Mirror.commit mirror in
         let s = Mirror.last_commit_stats mirror in
-        Trace.emit cluster.engine ~component:("approach." ^ inst.id)
+        Obs.Record.event cluster.engine ~component:("approach." ^ inst.id)
           "checkpoint %d: shipped %d B, dedup'd %d B, clean-suppressed %d B" inst.epoch
           s.Client.bytes_shipped s.Client.bytes_deduped s.Client.bytes_suppressed;
         Blobcr_snapshot { image = Option.get (Mirror.checkpoint_image mirror); version }

@@ -30,7 +30,7 @@ let snapshot_retries = 3
 let snapshot_backoff = 0.02
 
 let trace t engine fmt =
-  Trace.emit engine
+  Obs.Record.event engine
     ~component:(Fmt.str "proxy@%s" (Netsim.Net.host_name t.pnode.Cluster.host))
     fmt
 

@@ -168,7 +168,7 @@ let crash_node t i =
   if i < 0 || i >= Array.length t.nodes then invalid_arg "Cluster.crash_node";
   if not (node_failed t i) then begin
     t.failed_nodes <- i :: t.failed_nodes;
-    Trace.emit t.engine ~component:"cluster" "node %d crashed (fail-stop)" i;
+    Obs.Record.event t.engine ~component:"cluster" "node %d crashed (fail-stop)" i;
     Blobseer.Data_provider.fail (Client.data_provider t.service i);
     List.iter (fun hook -> hook i) t.crash_hooks
   end
@@ -192,7 +192,7 @@ let crash_site t =
   | Some dr when dr.site_failed || dr.promoted -> ()
   | Some dr ->
       dr.site_failed <- true;
-      Trace.emit t.engine ~component:"cluster" "site disaster: primary site fail-stopped";
+      Obs.Record.event t.engine ~component:"cluster" "site disaster: primary site fail-stopped";
       Array.iter (fun n -> crash_node t n.index) dr.primary_nodes;
       Version_manager.fail (Client.version_manager dr.primary_service);
       let md = Client.metadata_service dr.primary_service in
@@ -217,7 +217,7 @@ let promote_standby t =
       t.base_blob <-
         Client.open_blob dr.standby_service ~from:t.supervisor_host
           ~id:(Client.blob_id t.base_blob);
-      Trace.emit t.engine ~component:"cluster"
+      Obs.Record.event t.engine ~component:"cluster"
         "standby promoted: %d version(s) / %d byte(s) lost" promo.Replicator.lost_versions
         promo.Replicator.lost_bytes;
       promo

@@ -92,7 +92,7 @@ let engine t = t.cluster.Cluster.engine
 let now t = Engine.now (engine t)
 let record t e = t.events_rev <- e :: t.events_rev
 
-let trace t msg = Trace.emit (engine t) ~component:"supervisor" "%s" msg
+let trace t msg = Obs.Record.event (engine t) ~component:"supervisor" "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Fault handlers: map abstract injector actions onto the platform. *)

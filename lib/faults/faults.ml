@@ -141,7 +141,7 @@ let start engine ~script ~handlers =
         let due = start_time +. e.at in
         let dt = due -. Engine.now engine in
         if dt > 0.0 then Engine.sleep engine dt;
-        Trace.emit engine ~component:"faults" "inject: %a" pp_action e.action;
+        Obs.Record.event engine ~component:"faults" "inject: %a" pp_action e.action;
         apply handlers e.action;
         applied_rev := { e with at = Engine.now engine } :: !applied_rev)
       ordered
@@ -159,7 +159,7 @@ let with_retries engine ?(retries = 3) ?(backoff = 0.01) ~label f =
   let rec go attempt =
     try f ()
     with Injected_error what when attempt < retries ->
-      Trace.emit engine ~component:label "transient fault (%s), retry %d/%d" what
+      Obs.Record.event engine ~component:label "transient fault (%s), retry %d/%d" what
         (attempt + 1) retries;
       Engine.sleep engine (backoff *. float_of_int (1 lsl attempt));
       go (attempt + 1)

@@ -43,6 +43,7 @@ type run = {
   spans : span list; (* in completion order *)
   metrics : metric list; (* sorted by (component, name) *)
   tracks : (int * string) list; (* track id -> label, in creation order *)
+  events : string list; (* rendered event log, in emission order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -88,6 +89,7 @@ type cell = {
 
 type collector = {
   mutable spans_rev : span list;
+  mutable events_rev : string list;
   mutable next_span : int;
   (* Track assignment: one per engine seen, by physical equality — each
      engine is an independent simulated timeline. *)
@@ -108,6 +110,7 @@ let detail_enabled () = match !current with Some c -> c.with_detail | None -> fa
 let fresh_collector ~detail =
   {
     spans_rev = [];
+    events_rev = [];
     next_span = 0;
     engines = [];
     track_labels = [];
@@ -134,6 +137,19 @@ let label_track engine label =
       let id = track_of c engine in
       c.track_labels <-
         List.map (fun (i, l) -> if i = id then (i, label) else (i, l)) c.track_labels
+
+(* ------------------------------------------------------------------ *)
+(* The event log: instant events and span begin/end lines, rendered in
+   emission order. With no collector installed nothing is formatted. *)
+
+let log c engine ~component msg =
+  let line = Printf.sprintf "t=%.6fs [%s] %s" (Engine.now engine) component msg in
+  c.events_rev <- line :: c.events_rev
+
+let event engine ~component fmt =
+  match !current with
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
+  | Some c -> Format.kasprintf (log c engine ~component) fmt
 
 (* The logical thread of the caller: the running fiber, or the synthetic
    "scheduler" thread (-1) when called from outside any fiber. *)
@@ -168,7 +184,7 @@ let open_span engine ~component ~name ~attrs =
       in
       c.next_span <- c.next_span + 1;
       Hashtbl.replace c.stacks (track, fiber) (o :: stack);
-      Trace.emit engine ~component "span %s begin" name;
+      log c engine ~component ("span " ^ name ^ " begin");
       Some o
 
 let close_span engine o =
@@ -195,8 +211,8 @@ let close_span engine o =
             }
           in
           c.spans_rev <- span :: c.spans_rev;
-          Trace.emit engine ~component:o.o_component "span %s end (%.6fs)" o.o_name
-            span.duration
+          log c engine ~component:o.o_component
+            (Printf.sprintf "span %s end (%.6fs)" o.o_name span.duration)
       | _ ->
           (* Mismatched close (span stack corrupted by a non-nested close):
              fail loudly — this is a programming error in instrumentation. *)
@@ -290,6 +306,7 @@ let snapshot c =
     spans = List.rev c.spans_rev;
     metrics;
     tracks = List.rev c.track_labels;
+    events = List.rev c.events_rev;
   }
 
 let capture ?(detail = false) f =

@@ -1,8 +1,9 @@
-(** Observability collector: spans, metric cells and run snapshots.
+(** Observability collector: spans, metric cells, the event log and run
+    snapshots.
 
-    A {e collector} is installed for the duration of one {!capture} call (a
-    global, like {!Simcore.Trace.set_sink}); while installed, {!Span} and
-    {!Metrics} record into it. When no collector is installed every
+    A {e collector} is installed (globally) for the duration of one
+    {!capture} call; while installed, {!event}, {!Span} and {!Metrics}
+    record into it. When no collector is installed every
     recording entry point is a no-op that reads neither the clock nor the
     RNG, so observability-off runs are bit-identical to uninstrumented
     ones. *)
@@ -49,6 +50,10 @@ type run = {
   spans : span list;  (** All closed spans, in completion order. *)
   metrics : metric list;  (** Every registered metric, sorted by (component, name). *)
   tracks : (int * string) list;  (** Track id to label, in creation order. *)
+  events : string list;
+      (** The event log, in emission order: every {!event} and every span
+          begin/end, rendered ["t=...s [component] msg"]. Determinism replay
+          and schedule fuzzing diff it. *)
 }
 (** Everything one {!capture} observed. *)
 
@@ -67,6 +72,12 @@ val recording : unit -> bool
 val detail_enabled : unit -> bool
 (** Whether the installed collector wants high-volume per-chunk spans.
     [false] when not recording. *)
+
+val event :
+  Simcore.Engine.t -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** [event engine ~component fmt ...] appends an instant event, stamped with
+    the simulated time, to the event log. A no-op when not recording: the
+    format arguments are not evaluated. *)
 
 val label_track : Simcore.Engine.t -> string -> unit
 (** [label_track engine l] names the timeline of [engine] (e.g.

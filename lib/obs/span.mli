@@ -15,7 +15,7 @@ val with_ :
   'a
 (** [with_ engine ~component ~name f] runs [f] inside a span. The span
     closes when [f] returns or raises. [component] is the subsystem (same
-    vocabulary as {!Simcore.Trace.emit}); [name] is the phase, dotted by
+    vocabulary as {!Record.event}); [name] is the phase, dotted by
     convention (e.g. ["ckpt.ship"]). Initial [attrs] may be extended from
     inside [f] with {!add_attr}. *)
 

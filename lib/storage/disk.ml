@@ -47,7 +47,7 @@ let armed_faults t = t.armed_faults
 let maybe_fault t =
   if t.armed_faults > 0 then begin
     t.armed_faults <- t.armed_faults - 1;
-    Trace.emit t.engine ~component:t.dname "transient I/O error injected";
+    Obs.Record.event t.engine ~component:t.dname "transient I/O error injected";
     raise (Faults.Injected_error (t.dname ^ ": I/O error"))
   end
 

@@ -317,7 +317,7 @@ let clone t =
   match t.ckpt with
   | Some _ -> ()
   | None ->
-      Trace.emit t.engine ~component:t.mname "CLONE from blob %d v%d"
+      Obs.Record.event t.engine ~component:t.mname "CLONE from blob %d v%d"
         (Client.blob_id t.base) t.base_version;
       t.ckpt <- Some (Client.clone t.base ~from:t.host ~version:t.base_version)
 
@@ -379,7 +379,7 @@ let ship_indices t ~indices ~payload_store ~hints ~skip_chunks ~skip_bytes ~rese
 let finish_commit t ~started ~version ~stats =
   t.last_stats <- stats;
   t.total_stats <- Client.add_write_stats t.total_stats stats;
-  Trace.emit t.engine ~component:t.mname
+  Obs.Record.event t.engine ~component:t.mname
     "COMMIT %d chunks: %d shipped (%d B), %d dedup'd (%d B), %d clean (%d B) -> v%d"
     stats.Client.chunks_total stats.Client.chunks_shipped stats.Client.bytes_shipped
     stats.Client.chunks_deduped stats.Client.bytes_deduped stats.Client.chunks_suppressed
@@ -447,7 +447,7 @@ let freeze t =
   t.skip_chunks <- 0;
   t.skip_bytes <- 0;
   Obs.Metrics.add m_frozen_chunks (float_of_int (Hashtbl.length f_pending));
-  Trace.emit t.engine ~component:t.mname "FREEZE %d dirty chunk(s) copy-on-write"
+  Obs.Record.event t.engine ~component:t.mname "FREEZE %d dirty chunk(s) copy-on-write"
     (Hashtbl.length f_pending)
 
 let commit_frozen ?(label = "ckpt.commit") t =
@@ -507,7 +507,7 @@ let abort_frozen t =
       t.skip_chunks <- t.skip_chunks + f.f_skip_chunks;
       t.skip_bytes <- t.skip_bytes + f.f_skip_bytes;
       t.frozen <- None;
-      Trace.emit t.engine ~component:t.mname
+      Obs.Record.event t.engine ~component:t.mname
         "FREEZE aborted: %d chunk(s) folded back into the dirty set"
         (Hashtbl.length f.f_pending)
 

@@ -147,7 +147,7 @@ let boot t ~format_fs =
   (* Boot ends with a quiescent, synced file system on the virtual disk. *)
   Guest_fs.sync fs;
   t.vstate <- Running;
-  Trace.emit t.engine ~component:t.vname "booted (format=%b)" format_fs;
+  Obs.Record.event t.engine ~component:t.vname "booted (format=%b)" format_fs;
   ignore (Engine.Fiber.spawn t.engine ~name:(t.vname ^ ".os-logger") ~group:t.vgroup (os_logger t))
 
 let restore_running t =
@@ -164,7 +164,7 @@ let suspend t =
   match t.vstate with
   | Running ->
       t.vstate <- Suspended;
-      Trace.emit t.engine ~component:t.vname "suspended";
+      Obs.Record.event t.engine ~component:t.vname "suspended";
       Obs.Span.with_ t.engine ~component:"vm" ~name:"vm.suspend" (fun () ->
           Engine.sleep t.engine 0.05)
   | Suspended -> ()
@@ -192,7 +192,7 @@ let resume t =
 let kill t =
   if t.vstate <> Dead then begin
     t.vstate <- Dead;
-    Trace.emit t.engine ~component:t.vname "killed (fail-stop)";
+    Obs.Record.event t.engine ~component:t.vname "killed (fail-stop)";
     Engine.Group.cancel t.engine t.vgroup
   end
 

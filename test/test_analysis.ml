@@ -242,7 +242,7 @@ let test_compare_runs_catches_nondeterminism () =
         let engine = Engine.create () in
         let _ =
           Engine.Fiber.spawn engine (fun () ->
-              Trace.emit engine ~component:"drift" "run %d" !counter)
+              Obs.Record.event engine ~component:"drift" "run %d" !counter)
         in
         Engine.run engine;
         string_of_int !counter)
@@ -320,6 +320,51 @@ let test_fuzz_replay_byte_identical () =
     (Fmt.str "blobcr_lint fuzz --scenario chaos --seed %d" seed)
     (Schedule_fuzz.repro_command f)
 
+(* Mutation check for the fuzzer's sensitivity: the tie-order race that
+   order-keyed randomness causes. Four fibers wake at the same instant and
+   each draws from a stream; the rendered result keys every draw by fiber
+   name, so it is schedule-independent only if the stream is. *)
+let tie_race ~stream =
+  {
+    Schedule_fuzz.sname = "tie-race";
+    srun =
+      (fun _scale ~schedule ~fault_seed ->
+        let e = Engine.create ~seed:fault_seed ~schedule () in
+        let draws = ref [] in
+        let (), run =
+          Obs.Record.capture (fun () ->
+              List.iter
+                (fun name ->
+                  ignore
+                    (Engine.Fiber.spawn e ~name (fun () ->
+                         Engine.sleep e 1.0;
+                         let d = Rng.int (stream e name) 1_000_000 in
+                         Obs.Record.event e ~component:name "drew %d" d;
+                         draws := (name, d) :: !draws)))
+                [ "a"; "b"; "c"; "d" ];
+              Engine.run e)
+        in
+        let results =
+          List.sort compare !draws
+          |> List.map (fun (name, d) -> Fmt.str "%s=%d" name d)
+          |> String.concat "\n"
+        in
+        { Schedule_fuzz.results; trace = run.Obs.Record.events; violations = [] });
+  }
+
+let fuzz_kinds scenario =
+  let report = Schedule_fuzz.run ~fault_streams:2 ~schedules:3 ~master_seed:42 scenario in
+  List.map (fun f -> f.Schedule_fuzz.kind) report.Schedule_fuzz.findings
+
+let test_fuzz_flags_tie_order_race () =
+  let kinds = fuzz_kinds (tie_race ~stream:(fun e _ -> Rng.split (Engine.rng e))) in
+  Alcotest.(check bool) "order-keyed split flagged" true
+    (List.mem Schedule_fuzz.Result_divergence kinds);
+  Alcotest.(check bool) "replays stay identical" false
+    (List.mem Schedule_fuzz.Replay_divergence kinds);
+  Alcotest.(check int) "identity-keyed streams run clean" 0
+    (List.length (fuzz_kinds (tie_race ~stream:Engine.derived_rng)))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -359,5 +404,6 @@ let () =
           Alcotest.test_case "seed encode/decode roundtrip" `Quick test_fuzz_seed_roundtrip;
           Alcotest.test_case "small grid clean" `Slow test_fuzz_grid_smoke;
           Alcotest.test_case "replay byte-identical" `Slow test_fuzz_replay_byte_identical;
+          Alcotest.test_case "tie-order rng race flagged" `Quick test_fuzz_flags_tie_order_race;
         ] );
     ]

@@ -507,7 +507,7 @@ let test_trace_captures_lifecycle () =
         ignore (Approach.request_checkpoint cluster inst);
         Approach.kill inst)
   in
-  let (), lines = Trace.capture scenario in
+  let (), { Obs.Record.events = lines; _ } = Obs.Record.capture scenario in
   let has fragment =
     List.exists
       (fun line ->
@@ -525,7 +525,7 @@ let test_trace_captures_lifecycle () =
   Alcotest.(check bool) "proxy traced" true (has "checkpoint request served");
   Alcotest.(check bool) "kill traced" true (has "fail-stop");
   (* Same seed, same trace: event-for-event determinism. *)
-  let (), lines' = Trace.capture scenario in
+  let (), { Obs.Record.events = lines'; _ } = Obs.Record.capture scenario in
   Alcotest.(check (list string)) "trace deterministic" lines lines'
 
 let test_simulation_deterministic () =

@@ -365,7 +365,9 @@ let test_chaos_recovery_end_to_end () =
 
 let test_chaos_recovery_replay_deterministic () =
   let capture () =
-    let (report, digests, _), trace = Trace.capture (fun () -> run_supervised ~script:chaos_script ()) in
+    let (report, digests, _), { Obs.Record.events = trace; _ } =
+      Obs.Record.capture (fun () -> run_supervised ~script:chaos_script ())
+    in
     ( (report.Supervisor.units_completed, report.Supervisor.recoveries,
        report.Supervisor.checkpoints, report.Supervisor.wasted_time),
       digests, trace )
@@ -413,8 +415,8 @@ let test_durability_chaos_acceptance () =
 
 let test_durability_chaos_replay_deterministic () =
   let capture () =
-    let chaos, trace =
-      Trace.capture (fun () -> Experiments.Durability.chaos_run durability_scale ())
+    let chaos, { Obs.Record.events = trace; _ } =
+      Obs.Record.capture (fun () -> Experiments.Durability.chaos_run durability_scale ())
     in
     ( Experiments.Durability.render_scrub_log chaos,
       List.map snd chaos.Experiments.Durability.digests,

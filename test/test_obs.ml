@@ -1,5 +1,5 @@
 (* Tests for the observability layer: span nesting and attribution, the
-   metrics registry, snapshot determinism across seeded runs, Chrome-trace
+   event log, the metrics registry, snapshot determinism across seeded runs, Chrome-trace
    export well-formedness, and the end-to-end tiling contract (leaf phases
    of a checkpoint sum to its critical-path duration). *)
 
@@ -75,6 +75,58 @@ let test_no_collector_is_noop () =
       run.metrics
   in
   Alcotest.(check int) "pre-capture incr dropped" 0 m.Obs.Record.samples
+
+(* ------------------------------------------------------------------ *)
+(* Event log *)
+
+let test_event_capture () =
+  let e = Engine.create () in
+  let (), run =
+    Obs.Record.capture (fun () ->
+        let _ =
+          Engine.Fiber.spawn e (fun () ->
+              Engine.sleep e 1.5;
+              Obs.Record.event e ~component:"unit" "hello %d" 42;
+              Obs.Span.with_ e ~component:"unit" ~name:"phase" (fun () -> Engine.sleep e 0.5))
+        in
+        Engine.run e)
+  in
+  Alcotest.(check (list string))
+    "time, component and message, spans in emission order"
+    [
+      "t=1.500000s [unit] hello 42";
+      "t=1.500000s [unit] span phase begin";
+      "t=2.000000s [unit] span phase end (0.500000s)";
+    ]
+    run.events;
+  Alcotest.(check bool) "collector removed" false (Obs.Record.recording ())
+
+let test_event_without_collector () =
+  let e = Engine.create () in
+  let formatted = ref false in
+  let pp ppf () =
+    formatted := true;
+    Fmt.string ppf "x"
+  in
+  Obs.Record.event e ~component:"unit" "not recorded %a" pp ();
+  Alcotest.(check bool) "arguments not formatted" false !formatted;
+  let (), run = Obs.Record.capture (fun () -> ()) in
+  Alcotest.(check (list string)) "nothing leaks into a later capture" [] run.events
+
+let test_event_nested_capture () =
+  let e = Engine.create () in
+  let ((), inner), outer =
+    Obs.Record.capture (fun () ->
+        Obs.Record.event e ~component:"outer" "before";
+        let inner = Obs.Record.capture (fun () -> Obs.Record.event e ~component:"inner" "nested") in
+        Obs.Record.event e ~component:"outer" "after";
+        inner)
+  in
+  Alcotest.(check (list string)) "inner log" [ "t=0.000000s [inner] nested" ] inner.events;
+  Alcotest.(check (list string))
+    "outer collector restored"
+    [ "t=0.000000s [outer] before"; "t=0.000000s [outer] after" ]
+    outer.events
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -166,6 +218,12 @@ let () =
         [
           Alcotest.test_case "nesting, timing and attribution" `Quick test_span_nesting;
           Alcotest.test_case "no collector means no-op" `Quick test_no_collector_is_noop;
+        ] );
+      ( "events",
+        [
+          Alcotest.test_case "capture" `Quick test_event_capture;
+          Alcotest.test_case "no collector is silent" `Quick test_event_without_collector;
+          Alcotest.test_case "nested capture restores the outer" `Quick test_event_nested_capture;
         ] );
       ( "metrics",
         [ Alcotest.test_case "registry snapshot semantics" `Quick test_metric_snapshot ] );

@@ -707,28 +707,6 @@ let test_stats_aggregates () =
   check_float "max" 3.0 hi
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_capture () =
-  let e = Engine.create () in
-  let (), lines =
-    Trace.capture (fun () ->
-        let _ =
-          Engine.Fiber.spawn e (fun () ->
-              Engine.sleep e 1.5;
-              Trace.emit e ~component:"unit" "hello %d" 42)
-        in
-        Engine.run e)
-  in
-  Alcotest.(check (list string)) "captured" [ "t=1.500000s [unit] hello 42" ] lines;
-  Alcotest.(check bool) "sink restored" false (Trace.enabled ())
-
-let test_trace_disabled_is_silent () =
-  let e = Engine.create () in
-  Trace.emit e ~component:"unit" "not recorded %s" "x";
-  Alcotest.(check bool) "disabled" false (Trace.enabled ())
-
-(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -828,10 +806,5 @@ let () =
           Alcotest.test_case "render table" `Quick test_stats_render_table;
           Alcotest.test_case "csv" `Quick test_stats_csv;
           Alcotest.test_case "aggregates" `Quick test_stats_aggregates;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "capture" `Quick test_trace_capture;
-          Alcotest.test_case "disabled is silent" `Quick test_trace_disabled_is_silent;
         ] );
     ]
