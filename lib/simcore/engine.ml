@@ -52,13 +52,19 @@ and fiber = {
   id : int;
   fname : string;
   engine : t;
+  self : fiber option;  (* [Some] of this fiber, allocated once *)
   mutable finished : bool;
   mutable cancel_requested : bool;
-  mutable pending : pending option;
+  mutable token : int;
+      (* bumped each time a suspension is consumed (resumed or cancelled):
+         a resumer fires only while the token it captured is current *)
+  mutable parked : parked;
   done_ivar : outcome ivar;
 }
 
-and pending = { consumed : bool ref; cancel_now : unit -> unit }
+(* The continuation of a suspended fiber, boxed with its answer type hidden:
+   cancellation discontinues it without knowing what it was waiting for. *)
+and parked = Running | Parked : (_, unit) Effect.Deep.continuation -> parked
 and 'a ivar_state = Iempty of 'a resumer list | Ifull of 'a
 and 'a ivar = { iengine : t; mutable istate : 'a ivar_state }
 
@@ -93,7 +99,11 @@ let current_fiber t = t.current
 let live_fibers t = t.live
 let blocked_fibers t = t.blocked
 let enqueue t ~time f = Event_queue.add t.queue ~time f
-let at t time f = enqueue t ~time f
+
+let at t time f =
+  if not (time >= t.now) then
+    invalid_arg (Printf.sprintf "Engine.at: time %g is before now (%g)" time t.now);
+  enqueue t ~time f
 
 let set_error t name exn =
   if t.error = None then t.error <- Some (name, exn)
@@ -109,21 +119,40 @@ let ivar_fill iv v =
 
 let finish t fiber outcome =
   fiber.finished <- true;
-  fiber.pending <- None;
   t.live <- t.live - 1;
   ivar_fill fiber.done_ivar outcome
 
-let with_current t fiber f =
+(* Runs [f x y] with [fiber] as the current fiber. Every event runs through
+   here, so it takes [f]'s arguments rather than a thunk and restores the
+   current fiber with [match ... with exception] rather than [Fun.protect]:
+   neither allocates. *)
+let with_current t fiber f x y =
   let saved = t.current in
-  t.current <- Some fiber;
-  Fun.protect ~finally:(fun () -> t.current <- saved) f
+  t.current <- fiber.self;
+  match f x y with
+  | v ->
+      t.current <- saved;
+      v
+  | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.current <- saved;
+      Printexc.raise_with_backtrace exn bt
+
+(* Ends the current suspension of a parked fiber: stale resumers and a
+   later {!cancel_fiber} then see it as consumed. *)
+let unpark t fiber =
+  fiber.token <- fiber.token + 1;
+  fiber.parked <- Running;
+  t.blocked <- t.blocked - 1
 
 (* Runs [f] as the body of [fiber] under the effect handler that implements
    blocking. Every blocking primitive performs [Suspend register]; the
    handler parks the continuation, hands [register] a one-shot resumer, and
    returns to the scheduler. Resumers deliver the value by scheduling an
-   event that continues the parked continuation. *)
-let start_fiber t fiber f =
+   event that continues the parked continuation. A suspension allocates the
+   [Parked] box, the resumer and, once resumed, the event closure. *)
+let start_fiber fiber f =
+  let t = fiber.engine in
   let open Effect.Deep in
   match_with
     (fun () ->
@@ -147,56 +176,51 @@ let start_fiber t fiber f =
                 (fun (k : (a, _) continuation) ->
                   if fiber.cancel_requested then discontinue k Cancelled
                   else begin
-                    let consumed = ref false in
+                    let token = fiber.token in
                     t.blocked <- t.blocked + 1;
-                    let unblock () =
-                      consumed := true;
-                      fiber.pending <- None;
-                      t.blocked <- t.blocked - 1
-                    in
-                    let cancel_now () =
-                      unblock ();
-                      enqueue t ~time:t.now (fun () ->
-                          with_current t fiber (fun () -> discontinue k Cancelled))
-                    in
-                    fiber.pending <- Some { consumed; cancel_now };
-                    let resume v =
-                      if !consumed then false
-                      else begin
-                        unblock ();
-                        enqueue t ~time:t.now (fun () ->
-                            with_current t fiber (fun () -> continue k v));
-                        true
-                      end
-                    in
-                    register resume
+                    fiber.parked <- Parked k;
+                    register (fun v ->
+                        fiber.token = token
+                        && begin
+                             unpark t fiber;
+                             enqueue t ~time:t.now (fun () ->
+                                 with_current t fiber continue k v);
+                             true
+                           end)
                   end)
           | _ -> None);
     }
 
 let spawn_fiber t ?(name = "fiber") f =
-  let fiber =
+  let done_ivar = ivar_create t in
+  let rec fiber =
     {
       id = t.next_id;
       fname = name;
       engine = t;
+      self = Some fiber;
       finished = false;
       cancel_requested = false;
-      pending = None;
-      done_ivar = ivar_create t;
+      token = 0;
+      parked = Running;
+      done_ivar;
     }
   in
   t.next_id <- t.next_id + 1;
   t.live <- t.live + 1;
-  enqueue t ~time:t.now (fun () -> with_current t fiber (fun () -> start_fiber t fiber f));
+  enqueue t ~time:t.now (fun () -> with_current t fiber start_fiber fiber f);
   fiber
 
 let cancel_fiber fiber =
   if not fiber.finished then begin
     fiber.cancel_requested <- true;
-    match fiber.pending with
-    | Some p when not !(p.consumed) -> p.cancel_now ()
-    | _ -> ()
+    match fiber.parked with
+    | Parked k ->
+        let t = fiber.engine in
+        unpark t fiber;
+        enqueue t ~time:t.now (fun () ->
+            with_current t fiber Effect.Deep.discontinue k Cancelled)
+    | Running -> ()
   end
 
 let suspend (register : 'a resumer -> unit) : 'a = Effect.perform (Suspend register)
@@ -356,7 +380,14 @@ module Semaphore = struct
 
   let with_held s f =
     acquire s;
-    Fun.protect ~finally:(fun () -> release s) f
+    match f () with
+    | v ->
+        release s;
+        v
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        release s;
+        Printexc.raise_with_backtrace exn bt
 
   let available s = s.count
 

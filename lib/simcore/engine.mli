@@ -132,7 +132,8 @@ val yield : t -> unit
 
 val at : t -> float -> (unit -> unit) -> unit
 (** [at t time f] schedules plain callback [f] (not a fiber; it must not
-    block) at absolute simulated [time]. *)
+    block) at absolute simulated [time]. Raises [Invalid_argument] if
+    [time] is before {!now} (or is NaN): the clock never goes back. *)
 
 module Group : sig
   (** A cancellation group: all fibers spawned into the group can be killed

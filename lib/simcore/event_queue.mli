@@ -7,7 +7,11 @@
     bit-identical to the historical behavior. The other policies exist to
     {e fuzz} schedules (see [Analysis.Schedule_fuzz]): they permute only
     same-timestamp runs, never the time order, and are equally
-    deterministic for a fixed policy value. *)
+    deterministic for a fixed policy value.
+
+    Under {!Fifo}, entries added at the time of the last entry popped —
+    the simulated instant being run — skip the heap and go to an O(1)
+    ready FIFO; the pop order is still exactly (time, insertion). *)
 
 type schedule =
   | Fifo  (** ties pop in insertion order (the default) *)

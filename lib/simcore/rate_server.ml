@@ -5,12 +5,15 @@ type t = {
   per_op : float;
   seek : float;
   lock : Engine.Semaphore.t;
-  mutable last_stream : int option;
+  mutable last_stream : int;  (* [no_stream] until a stream is served *)
   mutable busy : float;
   mutable ops : int;
   mutable bytes : int;
   mutable seek_count : int;
 }
+
+(* Sentinel for "no stream served yet"; [process] rejects it as a stream. *)
+let no_stream = min_int
 
 let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) ?(name = "rate-server") () =
   if rate <= 0.0 then invalid_arg "Rate_server.create: rate must be positive";
@@ -22,7 +25,7 @@ let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) ?(name = "rate-server") ()
     per_op;
     seek;
     lock = Engine.Semaphore.create engine 1;
-    last_stream = None;
+    last_stream = no_stream;
     busy = 0.0;
     ops = 0;
     bytes = 0;
@@ -32,11 +35,14 @@ let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) ?(name = "rate-server") ()
 let process_many t ?stream ~ops bytes =
   if bytes < 0 then invalid_arg "Rate_server.process: negative size";
   if ops < 0 then invalid_arg "Rate_server.process: negative ops";
+  (match stream with
+  | Some s when s = no_stream -> invalid_arg "Rate_server.process: stream id min_int is reserved"
+  | Some _ | None -> ());
   Engine.Semaphore.with_held t.lock (fun () ->
       let seek_time =
         match stream with
-        | Some s when t.last_stream <> Some s ->
-            t.last_stream <- Some s;
+        | Some s when s <> t.last_stream ->
+            t.last_stream <- s;
             t.seek_count <- t.seek_count + 1;
             t.seek
         | Some _ | None -> 0.0

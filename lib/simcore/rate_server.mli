@@ -21,7 +21,8 @@ val process : t -> ?stream:int -> int -> unit
 (** [process t ~stream bytes] blocks the calling fiber until the server has
     served this request: queueing delay plus [per_op + bytes/rate], plus
     [seek] if [stream] differs from the previously served stream.
-    Requests without a [stream] never pay or trigger seeks. *)
+    Requests without a [stream] never pay or trigger seeks. Raises
+    [Invalid_argument] if [stream] is [min_int], which is reserved. *)
 
 val process_many : t -> ?stream:int -> ops:int -> int -> unit
 (** [process_many t ~ops bytes] serves a batch of [ops] back-to-back

@@ -178,6 +178,28 @@ let test_sweep_is_deterministic () =
   Alcotest.(check (float 0.0)) "restart time" p1.Synthetic_sweep.restart_time
     p2.Synthetic_sweep.restart_time
 
+(* Event-order golden: the Obs.Record event log of three quick runs, hashed.
+   The log holds every span begin/end and instant event with its simulated
+   time, so reordering even one pair of same-instant events changes a hash
+   even where the result tables do not move. The pins come from the
+   plain-heap engine that the ready FIFO and lean suspension replaced; an
+   engine change must leave them in place, or re-pin them as a deliberate
+   change of event order. *)
+let event_log_digest id =
+  let exp = Option.get (Registry.find id) in
+  let _, run = Registry.run_observed exp scale ~progress:ignore () in
+  Digest.to_hex (Digest.string (String.concat "\n" run.Obs.Record.events))
+
+let test_event_order_golden () =
+  List.iter
+    (fun (id, want) ->
+      Alcotest.(check string) (id ^ " event log digest") want (event_log_digest id))
+    [
+      ("fig5a", "5eb62ebc306fe1613e8de96dadcf6e03");
+      ("precopy", "b5447a8129b37b39673a26e8ce01c440");
+      ("abl-stripe", "324dc9be08d4c56df9f53fc11b2d3be8");
+    ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -208,5 +230,6 @@ let () =
         [
           Alcotest.test_case "registry runs" `Slow test_registry_runs_everything;
           Alcotest.test_case "deterministic" `Slow test_sweep_is_deterministic;
+          Alcotest.test_case "event order golden" `Slow test_event_order_golden;
         ] );
     ]

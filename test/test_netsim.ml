@@ -60,7 +60,11 @@ let test_rate_server_rejects_bad_args () =
   let e = Engine.create () in
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Rate_server.create: rate must be positive") (fun () ->
-      ignore (Rate_server.create e ~rate:0.0 ()))
+      ignore (Rate_server.create e ~rate:0.0 ()));
+  (* min_int marks "no stream served yet", so it cannot name a stream. *)
+  Alcotest.check_raises "reserved stream id"
+    (Invalid_argument "Rate_server.process: stream id min_int is reserved") (fun () ->
+      Rate_server.process (Rate_server.create e ~rate:1.0 ()) ~stream:min_int 1)
 
 let test_rate_server_seeks_on_stream_switch () =
   let e = Engine.create () in

@@ -282,6 +282,150 @@ let prop_event_queue_sorted =
       in
       drain neg_infinity)
 
+(* Equivalence: [Event_queue] against the plain binary heap it replaced,
+   copied here as the reference. Under [Fifo] the queue keeps same-instant
+   entries in a ready ring outside its heap; the pop order, [peek_time],
+   [length] and [is_empty] must match the reference under every schedule. *)
+module Ref_queue = struct
+  type 'a entry = { time : float; rank : int; seq : int; value : 'a }
+
+  type 'a t = {
+    mutable heap : 'a entry array;
+    mutable size : int;
+    mutable seq : int;
+    schedule : Event_queue.schedule;
+  }
+
+  let create schedule = { heap = [||]; size = 0; seq = 0; schedule }
+  let is_empty t = t.size = 0
+  let length t = t.size
+
+  let rank_of t seq =
+    match t.schedule with
+    | Event_queue.Fifo -> seq
+    | Event_queue.Lifo -> -seq
+    | Event_queue.Seeded_shuffle seed -> Rng.rank ~seed seq
+
+  let earlier a b =
+    a.time < b.time
+    || (a.time = b.time && (a.rank < b.rank || (a.rank = b.rank && a.seq < b.seq)))
+
+  let swap t i j =
+    let tmp = t.heap.(i) in
+    t.heap.(i) <- t.heap.(j);
+    t.heap.(j) <- tmp
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if earlier t.heap.(i) t.heap.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let left = (2 * i) + 1 and right = (2 * i) + 2 in
+    let smallest = ref i in
+    if left < t.size && earlier t.heap.(left) t.heap.(!smallest) then smallest := left;
+    if right < t.size && earlier t.heap.(right) t.heap.(!smallest) then smallest := right;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let grow t entry =
+    let capacity = Array.length t.heap in
+    if t.size = capacity then begin
+      let new_capacity = max 16 (2 * capacity) in
+      let heap = Array.make new_capacity entry in
+      Array.blit t.heap 0 heap 0 t.size;
+      t.heap <- heap
+    end
+
+  let add t ~time value =
+    let entry = { time; rank = rank_of t t.seq; seq = t.seq; value } in
+    t.seq <- t.seq + 1;
+    grow t entry;
+    t.heap.(t.size) <- entry;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.heap.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.heap.(0) <- t.heap.(t.size);
+        sift_down t 0
+      end;
+      Some (top.time, top.value)
+    end
+
+  let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+end
+
+(* Adds are timed relative to the last popped time, which is where the
+   ready ring takes over, or at a small absolute time (heavy ties, and
+   sometimes before the last pop). *)
+type queue_op = Add_at_last | Add_after_last of int | Add_at of int | Pop
+
+let pp_queue_op ppf = function
+  | Add_at_last -> Fmt.string ppf "add@last"
+  | Add_after_last k -> Fmt.pf ppf "add@last+%d" k
+  | Add_at k -> Fmt.pf ppf "add@%d" k
+  | Pop -> Fmt.string ppf "pop"
+
+let queue_case_gen =
+  let open QCheck.Gen in
+  let schedule =
+    frequency
+      [ (2, return Event_queue.Fifo); (1, return Event_queue.Lifo);
+        (1, map (fun s -> Event_queue.Seeded_shuffle s) (int_range 0 1000)) ]
+  in
+  let op =
+    frequency
+      [ (4, return Add_at_last); (2, map (fun k -> Add_after_last k) (int_range 1 2));
+        (2, map (fun k -> Add_at k) (int_range 0 3)); (5, return Pop) ]
+  in
+  pair schedule (list_size (int_range 0 200) op)
+
+let print_queue_case (schedule, ops) =
+  Fmt.str "%a: %a" Event_queue.pp_schedule schedule Fmt.(list ~sep:sp pp_queue_op) ops
+
+let prop_event_queue_matches_reference =
+  QCheck.Test.make ~name:"event queue: same pops, peek, length as the reference heap" ~count:500
+    (QCheck.make ~print:print_queue_case queue_case_gen)
+    (fun (schedule, ops) ->
+      let q = Event_queue.create ~schedule () and r = Ref_queue.create schedule in
+      let last = ref 0.0 and n = ref 0 in
+      let agree () =
+        Event_queue.length q = Ref_queue.length r
+        && Event_queue.is_empty q = Ref_queue.is_empty r
+        && Option.equal Float.equal (Event_queue.peek_time q) (Ref_queue.peek_time r)
+      in
+      let add time =
+        Event_queue.add q ~time !n;
+        Ref_queue.add r ~time !n;
+        incr n
+      in
+      let pop () =
+        let got = Event_queue.pop q and want = Ref_queue.pop r in
+        Option.iter (fun (time, _) -> last := time) want;
+        got = want
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add_at_last -> add !last; true
+          | Add_after_last k -> add (!last +. float_of_int k); true
+          | Add_at k -> add (float_of_int k); true
+          | Pop -> pop ())
+          && agree ())
+        ops
+      && List.for_all (fun _ -> pop () && agree ()) (List.init (Ref_queue.length r + 1) Fun.id))
+
 (* Schedule policies: the mixed-time workload used by the policy tests —
    three runs of simultaneous events separated by distinct times. *)
 let schedule_workload q =
@@ -406,6 +550,24 @@ let test_engine_interleaving_deterministic () =
     (run_once ());
   Alcotest.(check (list string)) "reproducible" (run_once ()) (run_once ())
 
+(* Two sleeps end at the same instant: both wake-up events were queued
+   before the clock got there, so both precede anything scheduled once it
+   has — b wakes before a's yield comes back. *)
+let test_engine_same_instant_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let _ =
+    Engine.Fiber.spawn e (fun () ->
+        Engine.sleep e 1.0;
+        note "a";
+        Engine.yield e;
+        note "a after yield")
+  in
+  let _ = Engine.Fiber.spawn e (fun () -> Engine.sleep e 1.0; note "b") in
+  Engine.run e;
+  Alcotest.(check (list string)) "order" [ "a"; "b"; "a after yield" ] (List.rev !log)
+
 let test_engine_fiber_failure_surfaces () =
   let e = Engine.create () in
   let _ = Engine.Fiber.spawn e ~name:"boom" (fun () -> failwith "kaput") in
@@ -435,6 +597,21 @@ let test_engine_at_callback () =
   Engine.at e 3.25 (fun () -> fired := Engine.now e);
   Engine.run e;
   check_float "fired at" 3.25 !fired
+
+let test_engine_at_rejects_past () =
+  let e = Engine.create () in
+  Engine.at e 2.0 ignore;
+  Engine.run e;
+  let rejects time =
+    match Engine.at e time ignore with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "before now" true (rejects 1.0);
+  Alcotest.(check bool) "nan" true (rejects nan);
+  Alcotest.(check bool) "at now" false (rejects 2.0);
+  Engine.run e;
+  check_float "clock never went back" 2.0 (Engine.now e)
 
 let test_ivar_basic () =
   let e = Engine.create () in
@@ -761,15 +938,17 @@ let () =
             test_schedule_shuffle_deterministic;
           Alcotest.test_case "schedule parse roundtrip" `Quick test_schedule_parse_roundtrip;
         ]
-        @ qsuite [ prop_event_queue_sorted ] );
+        @ qsuite [ prop_event_queue_sorted; prop_event_queue_matches_reference ] );
       ( "engine",
         [
           Alcotest.test_case "time advances" `Quick test_engine_time_advances;
           Alcotest.test_case "deterministic interleaving" `Quick
             test_engine_interleaving_deterministic;
+          Alcotest.test_case "same-instant order" `Quick test_engine_same_instant_order;
           Alcotest.test_case "fiber failure surfaces" `Quick test_engine_fiber_failure_surfaces;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "at callback" `Quick test_engine_at_callback;
+          Alcotest.test_case "at rejects the past" `Quick test_engine_at_rejects_past;
           Alcotest.test_case "all barrier" `Quick test_engine_all_barrier;
           Alcotest.test_case "blocked fiber count" `Quick test_blocked_fibers_counter;
         ] );
