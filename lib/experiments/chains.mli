@@ -67,24 +67,6 @@ val chaos_run :
     [Keep_last scale.chains_keep_last]) and [script] (built once the
     cluster and compactor exist) injected while the epochs run. *)
 
-(** {1 qcow2 side} *)
-
-type q_outcome = {
-  q_restart_s : float;  (** timed full read through the backing chain *)
-  q_restart_digest : int64;  (** content digest of the restored image *)
-  q_read_amp : float;  (** physical bytes read / logical bytes, restart *)
-  q_epoch_mean_s : float;  (** mean foreground epoch latency (dirty + export) *)
-  q_reclaimed_bytes : int;  (** retired delta-file bytes deleted by collapses *)
-  q_chain_levels : int;  (** levels of the final chain *)
-}
-
-val q_run : Scale.t -> collapse:bool -> depth:int -> unit -> q_outcome
-(** One deterministic qcow2 run: a full export, [depth] dirty epochs each
-    ending in {!Vdisk.Qcow2.export_incremental}, a
-    {!Vdisk.Qcow2.collapse_chain} whenever the chain outgrows
-    [scale.chains_keep_last] (when [collapse]), then a timed restart read
-    on a different node backed by the final chain. *)
-
 (** {1 Tables} *)
 
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list

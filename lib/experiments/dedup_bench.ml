@@ -141,7 +141,8 @@ let per_series points f =
       s)
     [ "dup-heavy"; "unique" ]
 
-let tables_of points =
+let tables (scale : Scale.t) ?progress () =
+  let points = run scale ?progress () in
   [
     ( "dedup-shipped",
       Stats.table ~title:"Commit bytes physically shipped (x: dedup 0=off 1=on)"
@@ -160,29 +161,3 @@ let tables_of points =
         ~x_label:"dedup" ~y_label:"seconds"
         (per_series points (fun p -> p.rewrite_time)) );
   ]
-
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"dedup\": %b, \"instances\": %d,\n\
-           \     \"dirty_bytes_per_instance\": %d,\n\
-           \     \"commit_time_s\": %.6f, \"rewrite_time_s\": %.6f,\n\
-           \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d,\n\
-           \     \"repository_bytes\": %d, \"dedup_hits\": %d,\n\
-           \     \"image_digest\": \"%Lx\"}%s\n"
-           p.workload p.dedup p.instances p.dirty_bytes_per_instance p.commit_time
-           p.rewrite_time p.shipped_bytes p.deduped_bytes p.suppressed_bytes
-           p.repository_bytes p.dedup_hits p.image_digest
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf

@@ -26,12 +26,7 @@ type point = {
 val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** One point per (workload × dedup on/off). *)
 
-val tables_of : point list -> (string * Stats.table) list
-(** Render already-collected points as the named result tables. *)
-
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Stats.table) list
-(** {!run} followed by {!tables_of}. *)
-
-val json_of : scale_name:string -> point list -> string
-(** Render points as the BENCH_dedup.json document (hand-rolled JSON; the
-    repo has no JSON dependency). *)
+(** {!run}, rendered as the named tables ["dedup-shipped"],
+    ["dedup-commit-time"], ["dedup-repo"] and ["dedup-rewrite-time"]: one
+    series per workload, x = dedup (0 off, 1 on). *)

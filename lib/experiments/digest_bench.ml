@@ -132,7 +132,8 @@ let per_series points f =
       s)
     keys
 
-let tables_of points =
+let tables (scale : Scale.t) ?progress () =
+  let points = run scale ?progress () in
   [
     ( "digest-commit-bytes",
       Stats.table ~title:"Bytes digested during the COMMIT itself (blob.write digest tax)"
@@ -151,29 +152,3 @@ let tables_of points =
         ~x_label:"dirty fraction" ~y_label:"bytes"
         (per_series points (fun p -> float_of_int p.shipped_bytes)) );
   ]
-
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"image_bytes\": %d, \"dirty_fraction\": %.2f, \"dedup\": %b, \
-            \"digest_cache\": %b,\n\
-           \     \"commit_time_s\": %.6f,\n\
-           \     \"commit_digest_bytes\": %d, \"total_digest_bytes\": %d,\n\
-           \     \"chunks_digested\": %d, \"chunks_cached\": %d, \"chunks_skipped\": %d,\n\
-           \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d}%s\n"
-           p.image_bytes p.dirty_fraction p.dedup p.digest_cache p.commit_time
-           p.commit_digest_bytes p.total_digest_bytes p.chunks_digested p.chunks_cached
-           p.chunks_skipped p.shipped_bytes p.deduped_bytes p.suppressed_bytes
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf

@@ -28,12 +28,7 @@ val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** One point per (image size x dirty fraction x config); configs are
     dedup on/off with the digest cache on, plus dedup-on/cache-off. *)
 
-val tables_of : point list -> (string * Stats.table) list
-(** Render already-collected points as the named result tables. *)
-
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Stats.table) list
-(** {!run} followed by {!tables_of}. *)
-
-val json_of : scale_name:string -> point list -> string
-(** Render points as the BENCH_digest.json document (hand-rolled JSON;
-    the repo has no JSON dependency). *)
+(** {!run}, rendered as the named tables ["digest-commit-bytes"],
+    ["digest-total-bytes"], ["digest-commit-time"] and ["digest-shipped"]:
+    one series per config, x = dirty fraction. *)

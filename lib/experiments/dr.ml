@@ -117,11 +117,6 @@ let control_run (scale : Scale.t) ?(interval = 2) ?(gang = 2) ?(units = 6) () =
         ~policy:{ Supervisor.default_policy with checkpoint_interval = interval }
         ~id:"dr-ctl" ~gang ~units ~workload ())
 
-let mean_checkpoint_cost (report : Supervisor.report) =
-  if report.Supervisor.checkpoints > 0 then
-    report.Supervisor.checkpoint_time /. float_of_int report.Supervisor.checkpoints
-  else 0.0
-
 let committed_costs (report : Supervisor.report) =
   List.filter_map
     (fun e ->
@@ -150,29 +145,27 @@ let primary_checkpoint_costs (report : Supervisor.report) =
       | _ -> None)
     report.Supervisor.events
 
-let mean = function
-  | [] -> 0.0
-  | cs -> List.fold_left ( +. ) 0.0 cs /. float_of_int (List.length cs)
-
 let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: link latency x checkpoint interval x window. *)
 
 type point = {
-  link_latency : float;
-  window : int;
-  interval : int;
+  link_latency : float;  (** WAN one-way latency, seconds *)
+  window : int;  (** replication in-flight window *)
+  interval : int;  (** checkpoint interval, work units *)
   finished : bool;
   failed_over : bool;
   rpo_versions : int;
   rpo_bytes : int;
   rpo_units : int;
   rto : float;
-  max_lag : int;
+  max_lag : int;  (** replication-lag high-water mark, records *)
   checkpoint_cost : float;
+      (** mean pre-failover committed-checkpoint duration with DR *)
   checkpoint_cost_nodr : float;
-  overhead_pct : float;
+      (** the control's mean over its commits at the same positions *)
+  overhead_pct : float;  (** (cost / control − 1) × 100 *)
 }
 
 let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window ~interval
@@ -188,8 +181,10 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window 
      against the control's commits at the same positions — not against the
      control's whole-run mean. *)
   let dr_costs = primary_checkpoint_costs o.report in
-  let checkpoint_cost = mean dr_costs in
-  let checkpoint_cost_nodr = mean (take (List.length dr_costs) (committed_costs control)) in
+  let checkpoint_cost = Simcore.Stats.mean dr_costs in
+  let checkpoint_cost_nodr =
+    Simcore.Stats.mean (take (List.length dr_costs) (committed_costs control))
+  in
   let overhead_pct =
     if checkpoint_cost_nodr > 0.0 then
       (checkpoint_cost /. checkpoint_cost_nodr -. 1.0) *. 100.0

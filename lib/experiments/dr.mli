@@ -54,59 +54,6 @@ val dr_run :
     (default {!default_crash_at}). Same scale, config and crash time ⇒
     same outcome, byte for byte. *)
 
-val control_run :
-  Scale.t -> ?interval:int -> ?gang:int -> ?units:int -> unit -> Supervisor.report
-(** The same supervised run without a standby site and without a disaster
-    — the primary-commit overhead baseline. *)
-
-val mean_checkpoint_cost : Supervisor.report -> float
-(** Mean committed-checkpoint duration, seconds; [0.] if none committed. *)
-
-val committed_costs : Supervisor.report -> float list
-(** Every committed checkpoint's duration in commit order, seconds. *)
-
-val primary_checkpoint_costs : Supervisor.report -> float list
-(** Durations of the commits on the primary site only — at or before the
-    failover (all of them when no failover happened). Post-failover
-    commits run on the promoted standby and fold recovery recomputation
-    into their cost, which would misread as replication interference. *)
-
-type point = {
-  link_latency : float;  (** WAN one-way latency, seconds *)
-  window : int;  (** replication in-flight window *)
-  interval : int;  (** checkpoint interval, work units *)
-  finished : bool;
-  failed_over : bool;
-  rpo_versions : int;
-  rpo_bytes : int;
-  rpo_units : int;
-  rto : float;
-  max_lag : int;  (** replication-lag high-water mark, records *)
-  checkpoint_cost : float;
-      (** mean pre-failover committed-checkpoint duration with DR *)
-  checkpoint_cost_nodr : float;
-      (** the control's mean over its commits at the same positions *)
-  overhead_pct : float;  (** (cost / control − 1) × 100 *)
-}
-
-val run_point :
-  Scale.t ->
-  ?progress:(string -> unit) ->
-  link_latency:float ->
-  window:int ->
-  interval:int ->
-  control:Supervisor.report ->
-  unit ->
-  point
-(** One disaster run at the given cell. Overhead is positional: the DR
-    run's pre-failover commits against the control's commits at the same
-    positions (the first checkpoint ships the full image and is inherently
-    pricier than later incremental ones). *)
-
-val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
-(** The (link latency × window × interval) grid taken from the scale's dr
-    axes, with one control run per interval for the overhead baseline. *)
-
 val tables :
   Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
 (** Named result tables: ["dr-rpo"] (versions lost vs window),

@@ -32,10 +32,6 @@ type chaos = {
           still registered — schedule fuzzing audits it post-run *)
 }
 
-val acceptance_script : Faults.script
-(** Silent corruption at t=8.5, version-manager crash armed mid-apply of
-    the next COMMIT at t=9, host 0 crash-stopped at t=18. *)
-
 val final_subdomain_digests : Supervisor.t -> (string * int64) list
 (** (instance name, digest) of each surviving instance's restored state —
     compared across runs to prove recovery restored identical content. *)
@@ -52,7 +48,8 @@ val chaos_run :
   chaos
 (** One supervised chaos run on a fresh cluster seeded from the scale.
     [script] builds the fault script once the cluster exists (default:
-    {!acceptance_script}); [replication] overrides the calibration's chunk
+    silent corruption at t=8.5, the version manager crashed mid-apply of
+    the next COMMIT at t=9, host 0 crash-stopped at t=18); [replication] overrides the calibration's chunk
     replication (default 2); [scrub] is the background scrubber config
     (default: 4 s passes, majority quorum); [policy] overrides the
     supervisor policy (e.g. live checkpoint mode for the precopy fuzz
@@ -75,17 +72,6 @@ type point = {
   unrepairable : int;
   checkpoint_cost : float;
 }
-
-val run_point :
-  Scale.t ->
-  ?progress:(string -> unit) ->
-  corrupt_weight:int ->
-  replication:int ->
-  scrub_interval:float ->
-  unit ->
-  point
-(** One profile-generated chaos run at the given corruption weight,
-    replication degree and scrub interval. *)
 
 val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** The (corruption weight × replication × scrub interval) grid taken from

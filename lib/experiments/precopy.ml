@@ -138,7 +138,8 @@ let per_series points f =
       s)
     keys
 
-let tables_of points =
+let tables (scale : Scale.t) ?progress () =
+  let points = run scale ?progress () in
   [
     ( "precopy-suspend",
       Stats.table ~title:"Longest guest-observed stall (the stop-the-world window)"
@@ -161,26 +162,3 @@ let tables_of points =
         ~x_label:"pre-copy rounds" ~y_label:"MiB/s"
         (per_series points (fun p -> p.achieved_mbps)) );
   ]
-
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"interval_s\": %g, \"dirty_mibps\": %g, \"rounds\": %d, \"mode\": %S,\n\
-           \     \"suspend_max_s\": %.6f, \"ckpt_latency_s\": %.6f,\n\
-           \     \"shipped_bytes\": %d, \"cow_bytes\": %d,\n\
-           \     \"achieved_mibps\": %.3f}%s\n"
-           p.interval p.dirty_mbps p.rounds p.mode p.suspend_max p.ckpt_latency
-           p.shipped_bytes p.cow_bytes p.achieved_mbps
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf

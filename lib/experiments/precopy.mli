@@ -39,13 +39,8 @@ val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
     per (interval, dirty-rate) cell plus both live modes across the
     pre-copy round budgets. *)
 
-val tables_of : point list -> (string * Simcore.Stats.table) list
-(** Named result tables over precomputed points: ["precopy-suspend"],
-    ["precopy-latency"], ["precopy-shipped"], ["precopy-interference"],
-    ["precopy-throughput"]. *)
-
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
-(** {!run} then {!tables_of}. *)
-
-val json_of : scale_name:string -> point list -> string
-(** The point list as a JSON document (hand-rolled; no JSON dependency). *)
+(** {!run}, rendered as the named tables ["precopy-suspend"],
+    ["precopy-latency"], ["precopy-shipped"], ["precopy-interference"] and
+    ["precopy-throughput"]: one series per (mode, interval, dirty rate),
+    x = pre-copy rounds. *)

@@ -9,14 +9,11 @@ type t = {
   run : Scale.t -> progress:(string -> unit) -> output list;
 }
 
-let fig2_3_outputs tag buffer_of scale ~progress =
-  let ckpt, restart =
-    Figures.fig2_3 scale ~buffer:(buffer_of scale) ~tag ~progress ()
-  in
+let fig2_3_outputs tag buffer scale ~progress =
+  let ckpt, restart = Figures.fig2_3 scale ~buffer ~tag ~progress () in
   [ { name = "fig2" ^ tag; table = ckpt }; { name = "fig3" ^ tag; table = restart } ]
 
-let small (s : Scale.t) = s.Scale.buffer_small
-let large (s : Scale.t) = s.Scale.buffer_large
+let named tables = List.map (fun (name, table) -> { name; table }) tables
 
 let all =
   [
@@ -26,30 +23,18 @@ let all =
       description =
         "Checkpoint and restart completion time vs number of instances, 50 MB buffer, \
          all five approaches";
-      run = (fun scale ~progress -> fig2_3_outputs "a" small scale ~progress);
+      run =
+        (fun scale ~progress ->
+          fig2_3_outputs "a" scale.Scale.buffer_small scale ~progress);
     };
     {
       id = "fig2b";
       paper_ref = "Figure 2(b) + Figure 3(b)";
       description =
         "Checkpoint and restart completion time vs number of instances, 200 MB buffer";
-      run = (fun scale ~progress -> fig2_3_outputs "b" large scale ~progress);
-    };
-    {
-      id = "fig3a";
-      paper_ref = "Figure 3(a)";
-      description = "Restart completion time vs number of hosts, 50 MB buffer";
       run =
         (fun scale ~progress ->
-          List.filter (fun o -> o.name = "fig3a") (fig2_3_outputs "a" small scale ~progress));
-    };
-    {
-      id = "fig3b";
-      paper_ref = "Figure 3(b)";
-      description = "Restart completion time vs number of hosts, 200 MB buffer";
-      run =
-        (fun scale ~progress ->
-          List.filter (fun o -> o.name = "fig3b") (fig2_3_outputs "b" large scale ~progress));
+          fig2_3_outputs "b" scale.Scale.buffer_large scale ~progress);
     };
     {
       id = "fig4";
@@ -68,15 +53,6 @@ let all =
         (fun scale ~progress ->
           let times, storage = Figures.fig5 scale ~progress () in
           [ { name = "fig5a"; table = times }; { name = "fig5b"; table = storage } ]);
-    };
-    {
-      id = "fig5b";
-      paper_ref = "Figure 5(b)";
-      description = "Cumulative storage across successive checkpoints";
-      run =
-        (fun scale ~progress ->
-          let _, storage = Figures.fig5 scale ~progress () in
-          [ { name = "fig5b"; table = storage } ]);
     };
     {
       id = "fig6";
@@ -99,11 +75,7 @@ let all =
       description =
         "Effective utilization, wasted work and recovery latency for supervised CM1 \
          under injected host/provider faults, MTBF x checkpoint-interval sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Availability.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Availability.tables scale ~progress ()));
     };
     {
       id = "durability";
@@ -112,11 +84,7 @@ let all =
         "Restart success, scrub repair traffic and checkpoint overhead for supervised CM1 \
          under silent replica corruption, corruption-weight x replication x scrub-interval \
          sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Durability.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Durability.tables scale ~progress ()));
     };
     {
       id = "dr";
@@ -125,9 +93,7 @@ let all =
         "RPO/RTO, replication lag and primary checkpoint overhead for supervised CM1 on a \
          geo-replicated repository with a scripted primary-site disaster, link-latency x \
          checkpoint-interval x window sweep";
-      run =
-        (fun scale ~progress ->
-          List.map (fun (name, table) -> { name; table }) (Dr.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Dr.tables scale ~progress ()));
     };
     {
       id = "dedup";
@@ -136,11 +102,7 @@ let all =
         "Commit bytes shipped, repository growth and commit latency for dup-heavy vs \
          unique gang checkpoints, content-addressed dedup on vs off, plus clean-rewrite \
          suppression";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Dedup_bench.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Dedup_bench.tables scale ~progress ()));
     };
     {
       id = "digest";
@@ -149,11 +111,7 @@ let all =
         "Bytes digested during COMMIT and over the whole epoch, commit latency and bytes \
          shipped for full-region rewrites at varying dirty fractions, dedup on/off plus a \
          digest-cache-off baseline";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Digest_bench.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Digest_bench.tables scale ~progress ()));
     };
     {
       id = "chains";
@@ -162,9 +120,7 @@ let all =
         "Restart latency, read amplification, reclaimed bytes and foreground interference \
          across snapshot-chain depths: BlobSeer retention/compaction vs qcow2 delta chains \
          with and without collapse";
-      run =
-        (fun scale ~progress ->
-          List.map (fun (name, table) -> { name; table }) (Chains.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Chains.tables scale ~progress ()));
     };
     {
       id = "precopy";
@@ -173,11 +129,7 @@ let all =
         "Guest-observed suspend window, checkpoint latency, shipped bytes and \
          copy-on-write interference for live (pre-copy + background commit) vs \
          stop-the-world checkpoints, interval x dirty-rate x pre-copy-rounds sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Precopy.tables scale ~progress ()));
+      run = (fun scale ~progress -> named (Precopy.tables scale ~progress ()));
     };
     {
       id = "abl-prefetch";

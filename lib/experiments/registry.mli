@@ -14,10 +14,13 @@ type t = {
 }
 
 val all : t list
-(** fig2a, fig2b, fig3a, fig3b, fig4, fig5a, fig5b, fig6, table1, plus the
-    ablation studies abl-prefetch, abl-stripe, abl-replication and
-    abl-incremental. Entries that share a sweep (fig2a/fig3a, fig5a/fig5b)
-    emit both outputs in one run. *)
+(** fig2a, fig2b, fig4, fig5a, fig6 and table1, the beyond-the-paper
+    sweeps availability, durability, dr, dedup, digest, chains and
+    precopy, and the ablation studies abl-prefetch, abl-stripe,
+    abl-replication and abl-incremental. Each sweep runs once: fig2a and
+    fig2b also emit Figure 3(a)/(b) (outputs [fig3a], [fig3b]) and fig5a
+    emits Figure 5(b) (output [fig5b]). The quick-scale output of every
+    entry is pinned byte for byte by [results/quick/<output>.csv]. *)
 
 val find : string -> t option
 (** Look up an experiment by id, e.g. ["fig2a"]. *)

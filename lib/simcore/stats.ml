@@ -65,6 +65,19 @@ let csv_escape s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
+(* Exact CSV cells: integral values in full, anything else as the
+   shortest [%g] form that reads back to the same float. Every decimal of
+   at most 15 significant digits survives a round trip through a double,
+   so the search starts there. *)
+let csv_cell v =
+  if Float.is_integer v then Printf.sprintf "%.0f" v
+  else
+    let rec shortest prec =
+      let s = Printf.sprintf "%.*g" prec v in
+      if prec >= 17 || float_of_string s = v then s else shortest (prec + 1)
+    in
+    shortest 15
+
 let to_csv t =
   let xs = xs_of t in
   let buf = Buffer.create 256 in
@@ -73,12 +86,12 @@ let to_csv t =
   Buffer.add_char buf '\n';
   List.iter
     (fun x ->
-      Buffer.add_string buf (Fmt.str "%g" x);
+      Buffer.add_string buf (csv_cell x);
       List.iter
         (fun s ->
           Buffer.add_char buf ',';
           match y_at s ~x with
-          | Some y -> Buffer.add_string buf (Fmt.str "%g" y)
+          | Some y -> Buffer.add_string buf (csv_cell y)
           | None -> ())
         t.columns;
       Buffer.add_char buf '\n')

@@ -31,7 +31,9 @@ val render : table -> string
 (** Aligned text table: one row per distinct [x], one column per series. *)
 
 val to_csv : table -> string
-(** The same rows as {!render}, comma-separated with a header line. *)
+(** The same rows as {!render}, comma-separated with a header line, and
+    exact: an integral value prints in full ([2097152], not [2.09715e+06]),
+    any other as the shortest [%g] form that reads back to the same float. *)
 
 val write_csv : dir:string -> name:string -> table -> string
 (** Write [to_csv] under [dir] (created if missing); returns the path. *)

@@ -1,8 +1,8 @@
 (* Tests for content-addressed chunk deduplication: index hit/miss
    behaviour, refcounted GC, scrub repair of shared chunks, concurrent
    in-flight claims, clean-rewrite suppression on the mirror commit path,
-   the dedup refcount invariant audit, and determinism of the dedup
-   benchmark experiment. *)
+   the dedup refcount invariant audit, and the dedup benchmark
+   experiment's determinism and byte-identical restored images. *)
 
 open Simcore
 open Netsim
@@ -325,6 +325,25 @@ let test_dedup_experiment_deterministic () =
         true
         (Analysis.Determinism.identical report)
 
+(* The dedup experiment's correctness witness: each workload's restored
+   dirty regions digest the same with the index on and off, and the two
+   workloads digest differently, so the digest really covers their bytes. *)
+let test_dedup_experiment_restores_identical_bytes () =
+  let points = Experiments.Dedup_bench.run Experiments.Scale.quick () in
+  let digest workload dedup =
+    (List.find
+       (fun p -> p.Experiments.Dedup_bench.workload = workload && p.dedup = dedup)
+       points)
+      .Experiments.Dedup_bench.image_digest
+  in
+  List.iter
+    (fun workload ->
+      Alcotest.(check int64) (workload ^ ": dedup on = off") (digest workload false)
+        (digest workload true))
+    [ "dup-heavy"; "unique" ];
+  Alcotest.(check bool) "workloads restore different bytes" true
+    (digest "dup-heavy" true <> digest "unique" true)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -357,5 +376,7 @@ let () =
             test_mirror_commit_dedups_across_instances;
           Alcotest.test_case "dedup experiment replays identically" `Slow
             test_dedup_experiment_deterministic;
+          Alcotest.test_case "dedup experiment restores identical bytes" `Slow
+            test_dedup_experiment_restores_identical_bytes;
         ] );
     ]

@@ -126,22 +126,40 @@ let test_cm1_blcr_bigger_than_app () =
   Alcotest.(check bool) (Fmt.str "ratio %.2f in [1.5, 4.5]" ratio) true
     (ratio > 1.5 && ratio < 4.5)
 
-let test_registry_runs_everything () =
-  (* Every registered experiment must run end to end at quick scale and
-     produce non-empty tables. *)
-  List.iter
-    (fun id ->
-      match Registry.find id with
-      | None -> Alcotest.failf "missing experiment %s" id
-      | Some e ->
-          let outputs = e.Registry.run scale ~progress:(fun _ -> ()) in
-          Alcotest.(check bool) (id ^ " produces output") true (outputs <> []);
-          List.iter
-            (fun o ->
-              let rendered = Stats.render o.Registry.table in
-              Alcotest.(check bool) (id ^ " renders") true (String.length rendered > 40))
-            outputs)
-    [ "fig4"; "table1" ]
+(* Quick-scale goldens: every Registry output, rendered by Stats.to_csv,
+   must equal results/quick/<output>.csv byte for byte, and that directory
+   must hold nothing else. A deliberate change of simulated output
+   re-blesses them with
+     rm -rf results/quick
+     dune exec bin/blobcr_cli.exe -- run all --scale quick --csv results/quick -q *)
+let golden_dir = "../results/quick"
+
+let test_registry_goldens () =
+  let produced =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun o -> (o.Registry.name ^ ".csv", Stats.to_csv o.Registry.table))
+          (e.Registry.run scale ~progress:ignore))
+      Registry.all
+  in
+  let goldens = Array.to_list (Sys.readdir golden_dir) in
+  let read file =
+    In_channel.with_open_bin (Filename.concat golden_dir file) In_channel.input_all
+  in
+  let problems =
+    List.filter_map
+      (fun (file, csv) ->
+        if not (List.mem file goldens) then Some (file ^ ": no golden")
+        else if read file <> csv then Some (file ^ ": differs from its golden")
+        else None)
+      produced
+    @ List.filter_map
+        (fun file ->
+          if List.mem_assoc file produced then None else Some (file ^ ": no Registry output"))
+        goldens
+  in
+  Alcotest.(check (list string)) "results/quick goldens" [] (List.sort compare problems)
 
 let test_durability_sweep_smoke () =
   (* One cell per (corrupt-weight, replication, scrub-interval) at quick
@@ -228,7 +246,7 @@ let () =
         [ Alcotest.test_case "sweep smoke" `Slow test_durability_sweep_smoke ] );
       ( "harness",
         [
-          Alcotest.test_case "registry runs" `Slow test_registry_runs_everything;
+          Alcotest.test_case "registry matches quick goldens" `Slow test_registry_goldens;
           Alcotest.test_case "deterministic" `Slow test_sweep_is_deterministic;
           Alcotest.test_case "event order golden" `Slow test_event_order_golden;
         ] );

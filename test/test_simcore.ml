@@ -874,7 +874,13 @@ let test_stats_csv () =
   let a = Stats.series "s" in
   Stats.add a ~x:1.0 ~y:2.0;
   let t = Stats.table ~title:"t" ~x_label:"n" ~y_label:"y" [ a ] in
-  Alcotest.(check string) "csv" "n,s\n1,2\n" (Stats.to_csv t)
+  Alcotest.(check string) "csv" "n,s\n1,2\n" (Stats.to_csv t);
+  (* Cells are exact: integers in full, other values round-trip. *)
+  let b = Stats.series "b" in
+  List.iter (fun (x, y) -> Stats.add b ~x ~y) [ (0.1, 2097152.0); (1e17, 1.0 /. 3.0); (2.5, -0.125) ];
+  let csv = Stats.to_csv (Stats.table ~title:"t" ~x_label:"x" ~y_label:"y" [ b ]) in
+  Alcotest.(check string) "exact csv"
+    "x,b\n0.1,2097152\n2.5,-0.125\n100000000000000000,0.3333333333333333\n" csv
 
 let test_stats_aggregates () =
   check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
